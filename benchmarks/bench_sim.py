@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--duration", type=float, default=0.05)
     parser.add_argument("--window-seconds", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--attack", default="syn", choices=["syn", "udp", "ack", "http"])
+    parser.add_argument("--attack", default="syn", choices=["syn", "udp", "ack"])
     parser.add_argument(
         "--segment-size",
         type=int,

@@ -7,7 +7,8 @@ Paper (DSN'24, Table II):
     K-Means   67.88     86.83         11.20
     CNN       65.94     275.85        736.30
 
-The bench regenerates the rows from real measurements: CPU is actual
+The rows are the paper run's own ``ExperimentResult.table2()``, all
+from the IDS meter (:mod:`repro.ids.meter`): CPU is actual
 ``process_time`` per window against the documented IoT budget, memory is
 the real tracemalloc peak of each window's detection compute, and model
 size is the pickled PKL size.  Shape assertions: the K-Means model is by
@@ -33,18 +34,14 @@ def run_one(detect_capture, trained, scenario):
     return ids.process(detect_capture.records)
 
 
-def test_table2_sustainability(benchmark, detect_capture, trained_models, scenario, detection_reports):
+def test_table2_sustainability(benchmark, experiment, detect_capture, trained_models, scenario):
     benchmark.pedantic(
         run_one,
         args=(detect_capture, trained_models, scenario),
         rounds=1,
         iterations=1,
     )
-    rows = {}
-    for report in detection_reports:
-        s = report.sustainability
-        assert s is not None
-        rows[report.model_name] = (s.cpu_percent, s.memory_kb, s.model_size_kb)
+    rows = {name: (cpu, mem, size) for name, cpu, mem, size in experiment.table2(strict=True)}
 
     paper = {
         "RF": (65.46, 98.07, 712.30),

@@ -3,7 +3,8 @@
 The paper reports that after training "all models have attained
 [high] values across these evaluation metrics, with a small amount of
 false positives and false negatives".  The bench times model training on
-the generated dataset and regenerates the per-model metric rows on the
+the generated dataset, checks the retrained models score exactly as the
+paper run's own, and regenerates the per-model metric rows on the
 held-out split.
 """
 
@@ -12,7 +13,7 @@ from repro.testbed import train_models
 from conftest import write_result
 
 
-def test_training_metrics(benchmark, train_capture, scenario):
+def test_training_metrics(benchmark, experiment, train_capture, scenario):
     trained = benchmark.pedantic(
         train_models,
         args=(train_capture,),
@@ -31,6 +32,13 @@ def test_training_metrics(benchmark, train_capture, scenario):
             f"{r.recall:>9.4f}{r.f1:>8.4f}{item.fit_seconds:>9.2f}"
         )
     write_result("training_metrics", lines)
+
+    # Training is a pure function of the capture and the seed.
+    assert [
+        (t.name, t.train_report.accuracy, t.train_report.precision,
+         t.train_report.recall, t.train_report.f1)
+        for t in trained
+    ] == experiment.training_metrics()
 
     for item in trained:
         r = item.train_report

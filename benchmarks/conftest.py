@@ -1,9 +1,12 @@
 """Shared fixtures for the benchmark harness.
 
-The expensive artefacts — one infected testbed, the training capture,
-the trained models, and the detection capture — are built once per
-session and shared by every bench.  Each bench times its own piece with
-``pytest-benchmark`` and writes the regenerated table/figure rows to
+Every bench reads the paper's run from one place: a single session call
+to :func:`run_experiment_pipeline` on the ``paper-baseline`` scenario,
+the same call ``ddoshield experiment`` makes.  The training capture, the
+trained models, the detection capture and the detection reports are
+views of that one result, so the numbers a bench reports cannot depend
+on which benches ran or in what order.  Each bench times its own piece
+with ``pytest-benchmark`` and writes the regenerated table/figure rows to
 ``benchmarks/results/`` so the paper-vs-measured comparison survives the
 run.
 """
@@ -14,12 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.testbed import (
-    Scenario,
-    Testbed,
-    run_realtime_detection,
-    train_models,
-)
+from repro.pipeline import PipelineResult, run_experiment_pipeline
+from repro.testbed import ExperimentResult, Scenario
+from repro.testbed.catalog import get_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -41,41 +41,34 @@ def write_result(name: str, lines: list[str]) -> None:
 
 @pytest.fixture(scope="session")
 def scenario() -> Scenario:
-    return Scenario(n_devices=6, seed=7)
+    return get_scenario("paper-baseline")
 
 
 @pytest.fixture(scope="session")
-def infected_testbed(scenario):
-    testbed = Testbed(scenario).build()
-    infection_seconds = testbed.infect_all()
-    return testbed, infection_seconds
+def paper_run(scenario) -> tuple[ExperimentResult, PipelineResult]:
+    return run_experiment_pipeline(scenario, TRAIN_DURATION, DETECT_DURATION)
 
 
 @pytest.fixture(scope="session")
-def train_capture(infected_testbed, scenario):
-    testbed, _ = infected_testbed
-    return testbed.capture(TRAIN_DURATION, scenario.training_schedule(TRAIN_DURATION))
+def experiment(paper_run) -> ExperimentResult:
+    return paper_run[0]
 
 
 @pytest.fixture(scope="session")
-def trained_models(train_capture, scenario):
-    return train_models(
-        train_capture, window_seconds=scenario.window_seconds, seed=scenario.seed
-    )
+def train_capture(paper_run):
+    return paper_run[1].value("capture-train").dataset
 
 
 @pytest.fixture(scope="session")
-def detect_capture(infected_testbed, scenario, train_capture):
-    # Depends on train_capture so the virtual clock ordering matches the
-    # paper: the live run happens after the dataset-generation run.
-    testbed, _ = infected_testbed
-    return testbed.capture(
-        DETECT_DURATION, scenario.detection_schedule(DETECT_DURATION)
-    )
+def detect_capture(paper_run):
+    return paper_run[1].value("capture-detect").dataset
 
 
 @pytest.fixture(scope="session")
-def detection_reports(detect_capture, trained_models, scenario):
-    return run_realtime_detection(
-        detect_capture, trained_models, window_seconds=scenario.window_seconds
-    )
+def trained_models(experiment):
+    return experiment.trained
+
+
+@pytest.fixture(scope="session")
+def detection_reports(experiment):
+    return experiment.detection

@@ -17,11 +17,10 @@ schedule.  This subpackage defends that property on two fronts:
   same-bucket handlers whose state writes do not commute (ORD002);
 * **dynamic** — :mod:`repro.analysis.sanitizers` provides opt-in runtime
   invariant checkers (``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``)
-  for event-time monotonicity, queue/channel packet conservation,
-  socket/port leaks at teardown, and resource-accounting consistency,
-  plus the bucket-shuffle race detector seed (``REPRO_SHUFFLE`` /
-  ``Simulator(shuffle_buckets=…)``) that dynamically stresses what
-  ORD002 reasons about statically.
+  for event-time monotonicity, queue/channel packet conservation and
+  socket/port leaks at teardown, plus the bucket-shuffle race detector
+  seed (``REPRO_SHUFFLE`` / ``Simulator(shuffle_buckets=…)``) that
+  dynamically stresses what ORD002 reasons about statically.
 """
 
 from repro.analysis.baseline import Baseline, diff_findings

@@ -212,19 +212,3 @@ def collect_class_effects(tree: ast.Module) -> list[ClassEffects]:
                 info.direct[child.name] = summarize_method(child)
         result.append(info)
     return result
-
-
-def normalize_batch_calls(calls: frozenset[str]) -> frozenset[str]:
-    """Strip the ``_batch`` suffix from call-path terminals.
-
-    ``node.send_ipv4_batch`` and ``node.send_ipv4`` are the same
-    collaborator contract on the two paths; normalising lets the parity
-    rule compare call sets across twins.
-    """
-    normalized = set()
-    for path in sorted(calls):
-        head, _, terminal = path.rpartition(".")
-        if terminal.endswith("_batch"):
-            terminal = terminal[: -len("_batch")]
-        normalized.add(f"{head}.{terminal}" if head else terminal)
-    return frozenset(normalized)

@@ -20,7 +20,6 @@ captures acquire ground-truth labels.
 """
 
 from repro.botnet.attacks import AckFlood, AttackModule, SynFlood, UdpFlood, make_attack
-from repro.botnet.attacks_extra import DnsFlood, GreFlood, HttpFlood, VseFlood
 from repro.botnet.bot import MiraiBot
 from repro.botnet.cnc import CncServer
 from repro.botnet.credentials import MIRAI_CREDENTIALS
@@ -32,16 +31,12 @@ __all__ = [
     "AckFlood",
     "AttackModule",
     "CncServer",
-    "DnsFlood",
-    "GreFlood",
-    "HttpFlood",
     "Loader",
     "MIRAI_CREDENTIALS",
     "MiraiBot",
     "MiraiScanner",
     "SynFlood",
     "UdpFlood",
-    "VseFlood",
     "VulnerableTelnet",
     "make_attack",
 ]

@@ -689,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sim.add_argument("--window-seconds", type=float, default=0.01)
     bench_sim.add_argument("--seed", type=int, default=7)
     bench_sim.add_argument(
-        "--attack", default="syn", choices=["syn", "udp", "ack", "http"]
+        "--attack", default="syn", choices=["syn", "udp", "ack"]
     )
     bench_sim.add_argument("--segment-size", type=int, default=64,
                            help="devices per CSMA segment (0 = flat LAN)")
@@ -725,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--duration", type=float, default=0.05)
     profile.add_argument("--seed", type=int, default=7)
     profile.add_argument(
-        "--attack", default="syn", choices=["syn", "udp", "ack", "http"]
+        "--attack", default="syn", choices=["syn", "udp", "ack"]
     )
     profile.add_argument("--segment-size", type=int, default=64,
                          help="devices per CSMA segment (0 = flat LAN)")

@@ -4,11 +4,9 @@ DDoShield-IoT runs each role — Attacker, Devs, TServer, IDS — inside a
 Docker container grafted onto the NS-3 network through a tap bridge.
 This subpackage reproduces that operational surface: images declaring
 the processes to run (:mod:`repro.containers.image`), containers with a
-lifecycle and cgroup-style resource accounting
-(:mod:`repro.containers.container`, :mod:`repro.containers.resources`),
-tap bridges that attach containers to simulated ghost nodes
-(:mod:`repro.containers.bridge`), and a compose-style orchestrator
-(:mod:`repro.containers.orchestrator`).
+lifecycle (:mod:`repro.containers.container`), tap bridges that attach
+containers to simulated ghost nodes (:mod:`repro.containers.bridge`),
+and a compose-style orchestrator (:mod:`repro.containers.orchestrator`).
 """
 
 from repro.containers.bridge import TapBridge
@@ -20,7 +18,6 @@ from repro.containers.orchestrator import (
     ServiceSpec,
     SupervisorEvent,
 )
-from repro.containers.resources import ResourceAccountant, ResourceLimits, ResourceUsage
 
 __all__ = [
     "Container",
@@ -28,9 +25,6 @@ __all__ = [
     "Image",
     "Orchestrator",
     "Process",
-    "ResourceAccountant",
-    "ResourceLimits",
-    "ResourceUsage",
     "RestartPolicy",
     "ServiceSpec",
     "SupervisorEvent",

@@ -1,10 +1,9 @@
 """Containers and the processes they host.
 
-A :class:`Container` owns a simulated network node (via a tap bridge), a
-resource accountant, and a set of :class:`Process` instances.  Processes
-are the "IoT binaries" of the paper: event-driven objects that open
-sockets on the container's node and schedule work on the shared
-simulator.  ``container.exec(...)`` injects a process into a running
+A :class:`Container` owns a simulated network node (via a tap bridge) and
+a set of :class:`Process` instances.  Processes are the "IoT binaries" of
+the paper: event-driven objects that open sockets on the container's node
+and schedule work on the shared simulator.  ``container.exec(...)`` injects a process into a running
 container — exactly how the Mirai loader drops a bot onto a compromised
 device.
 """
@@ -15,7 +14,6 @@ import enum
 from typing import TYPE_CHECKING
 
 from repro.containers.image import Image
-from repro.containers.resources import ResourceAccountant, ResourceLimits
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:
@@ -59,11 +57,6 @@ class Process:
         assert self.container is not None, "process not attached to a container"
         return self.container.node
 
-    def charge_cpu(self, work_seconds: float) -> float:
-        """Account CPU work against the container; returns wall duration."""
-        assert self.container is not None
-        return self.container.resources.charge_cpu(work_seconds)
-
     # ------------------------------------------------------------------
     # Lifecycle hooks
 
@@ -94,15 +87,11 @@ class Container:
         image: Image,
         sim: Simulator,
         node: "Node",
-        limits: ResourceLimits | None = None,
     ) -> None:
         self.name = name
         self.image = image
         self.sim = sim
         self.node = node
-        self.resources = ResourceAccountant(limits or image.default_limits)
-        if sim.sanitizer is not None:
-            sim.sanitizer.register_accountant(name, self.resources)
         self.state = ContainerState.CREATED
         self.processes: list[Process] = []
         self.started_at: float | None = None

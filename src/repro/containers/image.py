@@ -2,17 +2,15 @@
 
 An :class:`Image` plays the role of a Dockerfile build product: it names
 the binaries (process factories) that start when a container boots, plus
-default resource limits and exposed ports.  The testbed ships one image
-per role (attacker, device, tserver, ids), and scenarios may derive
-variants with :meth:`Image.with_entrypoint`.
+its exposed ports.  The testbed ships one image per role (attacker,
+device, tserver, ids), and scenarios may derive variants with
+:meth:`Image.with_entrypoint`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
-
-from repro.containers.resources import ResourceLimits
 
 if TYPE_CHECKING:
     from repro.containers.container import Container, Process
@@ -29,7 +27,6 @@ class Image:
     tag: str = "latest"
     entrypoints: tuple[ProcessFactory, ...] = ()
     exposed_ports: tuple[int, ...] = ()
-    default_limits: ResourceLimits = field(default_factory=ResourceLimits)
 
     @property
     def reference(self) -> str:
@@ -39,10 +36,6 @@ class Image:
     def with_entrypoint(self, *factories: ProcessFactory) -> "Image":
         """Derive an image with additional entrypoint processes."""
         return replace(self, entrypoints=self.entrypoints + tuple(factories))
-
-    def with_limits(self, limits: ResourceLimits) -> "Image":
-        """Derive an image with different default resource limits."""
-        return replace(self, default_limits=limits)
 
 
 class Registry:

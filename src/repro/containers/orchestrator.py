@@ -2,7 +2,7 @@
 
 The testbed's run scripts bring up the Attacker, N Devs, the TServer and
 the IDS together.  :class:`Orchestrator` plays docker-compose: declare
-:class:`ServiceSpec` entries (image, replicas, limits), call
+:class:`ServiceSpec` entries (image, replicas, restart policy), call
 :meth:`Orchestrator.up`, and get named running containers each attached
 to the shared LAN through a tap bridge.
 
@@ -23,7 +23,6 @@ from repro import obs
 from repro.containers.bridge import TapBridge
 from repro.containers.container import Container, ContainerState
 from repro.containers.image import Image, Registry
-from repro.containers.resources import ResourceLimits
 from repro.sim.core import Event, Simulator
 from repro.sim.topology import CsmaLan
 
@@ -92,7 +91,6 @@ class ServiceSpec:
     name: str
     image: Image
     replicas: int = 1
-    limits: ResourceLimits | None = None
     queue_capacity: int = 512
     restart: RestartPolicy | None = None
 
@@ -124,7 +122,6 @@ class Orchestrator:
         self.listeners: list = []
         ctx = obs.current()
         self._obs_events = ctx.events
-        self._obs_registry = ctx.registry
         self._obs_restarts = ctx.registry.counter("container.restarts")
 
     def add_service(self, spec: ServiceSpec) -> None:
@@ -138,7 +135,7 @@ class Orchestrator:
         for spec in self._services:
             for replica in range(spec.replicas):
                 name = spec.name if spec.replicas == 1 else f"{spec.name}-{replica}"
-                container = self.run(name, spec.image, spec.limits, spec.queue_capacity)
+                container = self.run(name, spec.image, spec.queue_capacity)
                 if spec.restart is not None:
                     self.supervise(name, spec.restart)
                 started.append(container)
@@ -148,14 +145,13 @@ class Orchestrator:
         self,
         name: str,
         image: Image,
-        limits: ResourceLimits | None = None,
         queue_capacity: int = 512,
     ) -> Container:
         """``docker run``: create a container on a fresh ghost node, start it."""
         if name in self.containers:
             raise ValueError(f"container name already in use: {name}")
         node = self.bridge.create_ghost_node(name, queue_capacity=queue_capacity)
-        container = Container(name, image, self.sim, node, limits=limits)
+        container = Container(name, image, self.sim, node)
         self.containers[name] = container
         container.start()
         return container
@@ -304,23 +300,3 @@ class Orchestrator:
             self._obs_restarts.inc()
         for listener in list(self.listeners):
             listener(event)
-
-    def sample_resources(self) -> None:
-        """Publish each container's cgroup-style CPU/memory into telemetry.
-
-        Point-in-time gauges labeled by container — the analogue of one
-        ``docker stats`` sample.  Cheap no-ops when telemetry is off.
-        """
-        if not self._obs_registry.enabled:
-            return
-        for name, container in sorted(self.containers.items()):
-            usage = container.resources.usage
-            self._obs_registry.gauge("container.cpu_seconds", container=name).set(
-                usage.cpu_seconds
-            )
-            self._obs_registry.gauge("container.memory_bytes", container=name).set(
-                usage.memory_bytes
-            )
-            self._obs_registry.gauge(
-                "container.peak_memory_bytes", container=name
-            ).set(usage.peak_memory_bytes)

@@ -146,11 +146,13 @@ class RealTimeIds:
         batch = RecordBatch.from_records(records)
         labels = batch.label.astype(int)
         status = STATUS_DEGRADED if self._window_degraded(index) else STATUS_HEALTHY
-        self.meter.start_window()
+
+        def detect() -> np.ndarray:
+            X = self.scaler.transform(self.extractor.transform_window(batch))
+            return np.asarray(self.model.predict(X), dtype=int)
+
         try:
-            X = self.extractor.transform_window(batch)
-            X = self.scaler.transform(X)
-            predictions = np.asarray(self.model.predict(X), dtype=int)
+            predictions = self.meter.measure(detect)
         except Exception:
             # Classifier/pipeline failure mid-run: degrade the window
             # instead of taking the whole IDS down with it.
@@ -158,8 +160,6 @@ class RealTimeIds:
             self._obs_errors.inc()
             predictions = np.zeros(len(records), dtype=int)
             status = STATUS_DEGRADED
-        finally:
-            self.meter.end_window()
         accuracy = float(np.mean(predictions == labels))
         start_time = index * self.window_seconds
         flagged = int(predictions.sum())

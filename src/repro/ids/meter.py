@@ -13,7 +13,10 @@ Table II's three metrics, measured for real:
   on it.
 * **Memory (Kb)** — real ``tracemalloc`` peak allocation during a
   window's detection compute, averaged over windows (the working set the
-  detection step occupies on top of the resident model).
+  detection step occupies on top of the resident model).  It is taken on
+  a second, traced run of the same compute: tracemalloc hooks every
+  allocation, and timing a traced run would bill that hook cost — most
+  of the measured time, and a fixed cost per window — as IDS CPU.
 * **Model size (Kb)** — real pickled size of the trained model (the
   paper's PKL file).
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro import obs
 from repro.obs.registry import MetricsRegistry, NULL_INSTRUMENT
@@ -42,6 +46,8 @@ IOT_CPU_SCALE = 0.04
 #: Active power draw of an IoT-class SoC core (W).  Used for the §VI
 #: Green-AI energy estimates: energy = IoT-CPU-seconds × IOT_WATTS.
 IOT_WATTS = 2.5
+
+T = TypeVar("T")
 
 #: Peak-allocation histogram buckets in bytes (10 KB .. 100 MB).
 MEMORY_BUCKETS: tuple[float, ...] = (
@@ -119,30 +125,44 @@ class ResourceMeter:
             self._pub_memory = NULL_INSTRUMENT
             self._pub_windows = NULL_INSTRUMENT
         self._cpu_start: float | None = None
-        self._tracing = False
+
+    def measure(self, compute: Callable[[], T]) -> T:
+        """Meter one window's detection compute and return its result.
+
+        CPU is timed on an untraced run; peak memory comes from a second
+        run under tracemalloc, whose cost is not billed as CPU.
+        """
+        self.start_window()
+        try:
+            result = compute()
+        finally:
+            self.end_window()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            compute()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        self._memory.observe(peak)
+        self._pub_memory.observe(peak)
+        return result
 
     def start_window(self) -> None:
-        """Begin measuring one window's detection compute."""
-        self._tracing = not tracemalloc.is_tracing()
-        if self._tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak() if tracemalloc.is_tracing() else None
+        """Begin timing one window's detection compute."""
         self._cpu_start = time.process_time()
 
     def end_window(self) -> None:
-        """Finish measuring; accumulates CPU seconds and peak bytes."""
+        """Finish timing; accumulates CPU seconds and counts the window."""
         if self._cpu_start is None:
             raise RuntimeError("end_window() without start_window()")
         elapsed = time.process_time() - self._cpu_start
         self._cpu.inc(elapsed)
         self._pub_cpu.inc(elapsed)
         self._cpu_start = None
-        if tracemalloc.is_tracing():
-            _, peak = tracemalloc.get_traced_memory()
-            self._memory.observe(peak)
-            self._pub_memory.observe(peak)
-            if self._tracing:
-                tracemalloc.stop()
         self._windows.inc()
         self._pub_windows.inc()
 

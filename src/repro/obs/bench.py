@@ -32,38 +32,64 @@ def _loop_counter(iterations: int, counter) -> float:
     return acc
 
 
-def _time_best(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall seconds — minimum filters scheduler noise."""
-    best = float("inf")
+def _time_interleaved(fns, repeats: int) -> list[list[float]]:
+    """Wall seconds of every variant in ``fns``, per repeat.
+
+    Each repeat runs the variants back to back, so a burst of load on a
+    shared CPU lands on all of them alike and a per-repeat ratio still
+    compares like with like.
+    """
+    rounds = []
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        times = []
+        for fn in fns:
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        rounds.append(times)
+    return rounds
+
+
+def _best(rounds: list[list[float]], variant: int) -> float:
+    """Best-of-repeats wall seconds of one variant."""
+    return min(times[variant] for times in rounds)
+
+
+def _pair_ratio(rounds: list[list[float]], variant: int) -> float:
+    """Smallest per-repeat ratio of ``variant`` to variant 0 (the base)."""
+    return min(
+        times[variant] / times[0] if times[0] else float("inf") for times in rounds
+    )
 
 
 def run_overhead_benchmark(iterations: int = 200_000, repeats: int = 5) -> dict:
     """Measure disabled/enabled telemetry overhead vs an uninstrumented loop.
 
     Returns per-variant best-of-``repeats`` ns/iteration plus the
-    ratios the no-op fast path is judged by.
+    ratios the no-op fast path is judged by.  The variants are
+    interleaved within each repeat and a ratio is the smallest
+    per-repeat one, so load from other processes cannot inflate it.
     """
     disabled = MetricsRegistry(enabled=False).counter("bench.ops")
     enabled = MetricsRegistry(enabled=True).counter("bench.ops")
 
-    base = _time_best(lambda: _loop_uninstrumented(iterations), repeats)
-    off = _time_best(lambda: _loop_counter(iterations, disabled), repeats)
-    on = _time_best(lambda: _loop_counter(iterations, enabled), repeats)
-
+    rounds = _time_interleaved(
+        [
+            lambda: _loop_uninstrumented(iterations),
+            lambda: _loop_counter(iterations, disabled),
+            lambda: _loop_counter(iterations, enabled),
+        ],
+        repeats,
+    )
     scale = 1e9 / iterations
     return {
         "iterations": iterations,
         "repeats": repeats,
-        "uninstrumented_ns": base * scale,
-        "disabled_ns": off * scale,
-        "enabled_ns": on * scale,
-        "disabled_ratio": off / base if base else float("inf"),
-        "enabled_ratio": on / base if base else float("inf"),
+        "uninstrumented_ns": _best(rounds, 0) * scale,
+        "disabled_ns": _best(rounds, 1) * scale,
+        "enabled_ns": _best(rounds, 2) * scale,
+        "disabled_ratio": _pair_ratio(rounds, 1),
+        "enabled_ratio": _pair_ratio(rounds, 2),
     }
 
 
@@ -109,19 +135,23 @@ def run_profiler_overhead_benchmark(iterations: int = 50_000, repeats: int = 5) 
     events = [_BenchEvent(_noop) for _ in range(iterations)]
     profiler = KernelProfiler()
 
-    base = _time_best(lambda: _loop_dispatch_direct(events), repeats)
-    off = _time_best(lambda: _loop_dispatch_gated(events, None), repeats)
-    on = _time_best(lambda: _loop_dispatch_gated(events, profiler), repeats)
-
+    rounds = _time_interleaved(
+        [
+            lambda: _loop_dispatch_direct(events),
+            lambda: _loop_dispatch_gated(events, None),
+            lambda: _loop_dispatch_gated(events, profiler),
+        ],
+        repeats,
+    )
     scale = 1e9 / iterations
     return {
         "iterations": iterations,
         "repeats": repeats,
-        "direct_ns": base * scale,
-        "profile_off_ns": off * scale,
-        "profile_on_ns": on * scale,
-        "profile_off_ratio": off / base if base else float("inf"),
-        "profile_on_ratio": on / base if base else float("inf"),
+        "direct_ns": _best(rounds, 0) * scale,
+        "profile_off_ns": _best(rounds, 1) * scale,
+        "profile_on_ns": _best(rounds, 2) * scale,
+        "profile_off_ratio": _pair_ratio(rounds, 1),
+        "profile_on_ratio": _pair_ratio(rounds, 2),
     }
 
 

@@ -36,7 +36,7 @@ state.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Iterable
+from typing import Any
 
 from repro.obs.registry import Histogram
 
@@ -362,25 +362,3 @@ class KernelProfiler:
                 continue
             lines.append(f"{stat.owner};{stat.label} {weight}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def merge_profiles(profiles: Iterable[KernelProfiler]) -> KernelProfiler:
-    """Fold several profilers (e.g. per-phase) into one summary view."""
-    merged = KernelProfiler()
-    for profiler in profiles:
-        merged.buckets_drained += profiler.buckets_drained
-        merged.bucket_events += profiler.bucket_events
-        for func, stat in profiler._stats.items():
-            into = merged._stats.get(func)
-            if into is None:
-                into = merged._stats[func] = _CallsiteStat(stat.label, stat.owner)
-            into.events += stat.events
-            into.wall_seconds += stat.wall_seconds
-            into.trains += stat.trains
-            into.train_packets += stat.train_packets
-            into.scalar_packets += stat.scalar_packets
-            into.hist.count += stat.hist.count
-            into.hist.total += stat.hist.total
-            for i, n in enumerate(stat.hist.bucket_counts):
-                into.hist.bucket_counts[i] += n
-    return merged

@@ -333,7 +333,6 @@ class Testbed:
             self.lan.channel.remove_probe(probe)
             if pcap is not None:
                 pcap.close()
-        self.orchestrator.sample_resources()
         if rebase_timestamps:
             return TrafficDataset([_rebase(r, base) for r in probe.records])
         return TrafficDataset(list(probe.records))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.botnet.attacks import ATTACKS
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.ids.defense import MitigationPlan
 
@@ -33,6 +34,10 @@ class AttackPhase:
     def __post_init__(self) -> None:
         if self.start < 0 or self.duration <= 0 or self.pps_per_bot <= 0:
             raise ValueError(f"malformed attack phase: {self}")
+        if self.kind.lower() not in ATTACKS:
+            raise ValueError(
+                f"unknown attack {self.kind!r}; expected one of {sorted(ATTACKS)}"
+            )
 
 
 @dataclass

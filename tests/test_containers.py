@@ -1,7 +1,6 @@
-"""Tests for the container runtime: lifecycle, resources, bridges, compose."""
+"""Tests for the container runtime: lifecycle, images, bridges, compose."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.containers import (
     Container,
@@ -9,13 +8,10 @@ from repro.containers import (
     Image,
     Orchestrator,
     Process,
-    ResourceAccountant,
-    ResourceLimits,
     ServiceSpec,
 )
 from repro.containers.container import ContainerError
 from repro.containers.image import Registry
-from repro.containers.resources import ResourceLimitExceeded
 from repro.sim import CsmaLan, Simulator
 from repro.sim.node import Node
 
@@ -44,65 +40,6 @@ def env():
     sim = Simulator()
     lan = CsmaLan(sim)
     return sim, lan, Orchestrator(sim, lan)
-
-
-class TestResourceAccounting:
-    def test_cpu_charge_accumulates(self):
-        acct = ResourceAccountant()
-        acct.charge_cpu(0.2)
-        acct.charge_cpu(0.3)
-        assert acct.usage.cpu_seconds == pytest.approx(0.5)
-
-    def test_cpu_share_scales_wall_time(self):
-        acct = ResourceAccountant(ResourceLimits(cpu_share=0.5))
-        assert acct.charge_cpu(1.0) == pytest.approx(2.0)
-
-    def test_negative_cpu_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceAccountant().charge_cpu(-1)
-
-    def test_memory_allocation_and_free(self):
-        acct = ResourceAccountant()
-        acct.allocate("model", 1000)
-        acct.allocate("buffer", 500)
-        assert acct.usage.memory_bytes == 1500
-        acct.free("model")
-        assert acct.usage.memory_bytes == 500
-        assert acct.usage.peak_memory_bytes == 1500
-
-    def test_reallocation_replaces_tag(self):
-        acct = ResourceAccountant()
-        acct.allocate("buf", 1000)
-        acct.allocate("buf", 200)
-        assert acct.usage.memory_bytes == 200
-
-    def test_memory_limit_enforced(self):
-        acct = ResourceAccountant(ResourceLimits(memory_bytes=1024))
-        acct.allocate("a", 1000)
-        with pytest.raises(ResourceLimitExceeded):
-            acct.allocate("b", 100)
-
-    def test_cpu_percent(self):
-        acct = ResourceAccountant()
-        acct.charge_cpu(0.65)
-        assert acct.cpu_percent(over_seconds=1.0) == pytest.approx(65.0)
-
-    def test_cpu_percent_zero_window(self):
-        assert ResourceAccountant().cpu_percent(0.0) == 0.0
-
-    def test_invalid_limits_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceLimits(cpu_share=0)
-        with pytest.raises(ValueError):
-            ResourceLimits(memory_bytes=-5)
-
-    @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=30))
-    def test_property_memory_never_negative(self, sizes):
-        acct = ResourceAccountant()
-        for i, nbytes in enumerate(sizes):
-            acct.allocate(f"tag{i % 3}", nbytes)
-            assert acct.usage.memory_bytes >= 0
-            assert acct.usage.peak_memory_bytes >= acct.usage.memory_bytes
 
 
 class TestImage:
@@ -259,9 +196,3 @@ class TestOrchestrator:
         _, _, orch = env
         with pytest.raises(KeyError):
             orch.get("ghost")
-
-    def test_limits_override_image_defaults(self, env):
-        _, _, orch = env
-        image = Image("img", default_limits=ResourceLimits(cpu_share=1.0))
-        container = orch.run("a", image, limits=ResourceLimits(cpu_share=0.25))
-        assert container.resources.limits.cpu_share == 0.25

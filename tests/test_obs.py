@@ -106,7 +106,8 @@ class TestOverhead:
     def test_disabled_fast_path_bounded(self):
         # The no-op fast path: instrumented-but-disabled code must stay
         # within 2x of the bare loop (it adds one no-op method call per
-        # iteration).  Best-of-repeats keeps scheduler noise out.
+        # iteration).  Interleaved repeats compared pair by pair keep
+        # scheduler noise and a shared CPU out.
         result = run_overhead_benchmark(iterations=50_000, repeats=3)
         assert result["disabled_ratio"] < 2.0
         # Enabled costs real work; just pin that it's bounded, not free.

@@ -1,11 +1,12 @@
 """Scenario / FaultPlan JSON round-trips (campaign grids, cache keys)."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec
-from repro.testbed import Scenario
+from repro.testbed import AttackPhase, Scenario
 
 
 class TestScenarioRoundTrip:
@@ -55,6 +56,23 @@ class TestScenarioRoundTrip:
     def test_dict_order_is_stable(self):
         # Canonical-JSON cache keys rely on deterministic content.
         assert list(Scenario().to_dict()) == list(Scenario(seed=99).to_dict())
+
+
+class TestAttackPhaseValidation:
+    def test_unknown_kind_rejected_at_construction(self):
+        # The typo must surface here, before any testbed is built or
+        # infected, not inside Testbed.capture.
+        with pytest.raises(ValueError, match="unknown attack 'synn'"):
+            AttackPhase(start=1.0, kind="synn", duration=2.0, pps_per_bot=10.0)
+        # Stage params carry phases as dicts; rebuilding one re-validates.
+        payload = asdict(Scenario().training_schedule(60.0)[0])
+        payload["kind"] = "synn"
+        with pytest.raises(ValueError, match="unknown attack 'synn'"):
+            AttackPhase(**payload)
+
+    def test_known_kinds_accepted_case_insensitively(self):
+        for kind in ("syn", "ACK", "udp_flood"):
+            AttackPhase(start=0.0, kind=kind, duration=1.0, pps_per_bot=1.0)
 
 
 class TestFaultPlanRoundTrip:
