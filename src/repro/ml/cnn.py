@@ -38,8 +38,11 @@ class Sequential:
         return x
 
     def backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
+        # Nothing consumes the network input's gradient.
+        first.backward(grad, input_grad=False)
 
     def params(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
@@ -107,7 +110,9 @@ class Sequential:
 
     def predict_proba(self, X: np.ndarray, batch_size: int = 1024) -> np.ndarray:
         chunks = []
-        for start in range(0, len(X), batch_size):
+        # An empty X still runs one (empty) batch, so the result keeps its
+        # class axis: shape (0, n_classes).
+        for start in range(0, max(len(X), 1), batch_size):
             logits = self.forward(X[start : start + batch_size], training=False)
             shifted = logits - logits.max(axis=1, keepdims=True)
             exp = np.exp(shifted)

@@ -4,11 +4,23 @@ The building blocks for the CNN IDS (and the autoencoder): Conv1D with
 im2col vectorisation, max pooling, dense layers, ReLU, dropout, a fused
 softmax/cross-entropy head, and the Adam optimiser.  Backprop is exact
 (verified by numeric gradient checks in the test suite).
+
+Training is kept cheap without changing what is computed: Conv1D builds
+its im2col matrix from a ``sliding_window_view`` and scatters the input
+gradient back with k shifted slice adds (in the summation order of
+``np.add.at``); MaxPool1D routes ties to the first maximum with a
+left-to-right slot scan; Adam updates its moments and the parameters in
+place; and the first layer of a :class:`~repro.ml.cnn.Sequential` skips
+its unused input gradient.  Only summation order changes: Conv1D's
+weight gradient is one GEMM over the batch, and MaxPool1D hands back
+position-major gradients like Conv1D's activations.  Training losses
+move by about 1e-17; verdicts do not.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
@@ -38,7 +50,13 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Fill ``grads()`` and return the input gradient.
+
+        With ``input_grad=False`` (the first layer of a network, whose
+        input gradient nothing consumes) layers may skip computing it
+        and return None.
+        """
         raise NotImplementedError
 
     def params(self) -> list[np.ndarray]:
@@ -65,11 +83,11 @@ class Dense(Layer):
         self._x = x
         return x @ self.W + self.b
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         assert self._x is not None
         self.dW[...] = self._x.T @ grad
         self.db[...] = grad.sum(axis=0)
-        return grad @ self.W.T
+        return grad @ self.W.T if input_grad else None
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.b]
@@ -83,7 +101,8 @@ class Conv1D(Layer):
 
     ``padding="same"`` keeps the length; ``"valid"`` shrinks it by
     ``kernel_size - 1``.  Implemented with im2col so the convolution is a
-    single matrix multiply.
+    single matrix multiply per sample, and its weight gradient one GEMM
+    over the whole batch.
     """
 
     def __init__(
@@ -114,36 +133,43 @@ class Conv1D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, length = x.shape
+        k = self.kernel_size
         left, right = self._pad_amounts()
-        xp = np.pad(x, ((0, 0), (0, 0), (left, right)))
-        out_len = xp.shape[2] - self.kernel_size + 1
-        # im2col: (n, c*k, out_len)
-        idx = np.arange(self.kernel_size)[None, :] + np.arange(out_len)[:, None]
-        cols = xp[:, :, idx]  # (n, c, out_len, k)
-        cols = cols.transpose(0, 2, 1, 3).reshape(n, out_len, c * self.kernel_size)
+        # Zero-padded input, position-major: (n, length + pad, c).
+        xp = np.zeros((n, length + left + right, c))
+        xp[:, left : left + length, :] = x.transpose(0, 2, 1)
+        # im2col: (n, out_len, c*k), one row per output position.
+        out_len = xp.shape[1] - k + 1
+        cols = sliding_window_view(xp, k, axis=1).reshape(n, out_len, c * k)
         self._cols = cols
         self._x_shape = (n, c, length)
         w2 = self.W.reshape(self.W.shape[0], -1)  # (F, c*k)
         out = cols @ w2.T + self.b  # (n, out_len, F)
         return out.transpose(0, 2, 1)  # (n, F, out_len)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         assert self._cols is not None and self._x_shape is not None
         n, c, length = self._x_shape
+        k = self.kernel_size
         g = grad.transpose(0, 2, 1)  # (n, out_len, F)
         out_len = g.shape[1]
         w2 = self.W.reshape(self.W.shape[0], -1)
+        # One GEMM over every (sample, position) row.
         self.dW[...] = (
-            np.einsum("nof,nok->fk", g, self._cols)
+            g.reshape(n * out_len, -1).T @ self._cols.reshape(n * out_len, -1)
         ).reshape(self.W.shape)
         self.db[...] = g.sum(axis=(0, 1))
-        dcols = g @ w2  # (n, out_len, c*k)
-        dcols = dcols.reshape(n, out_len, c, self.kernel_size).transpose(0, 2, 1, 3)
+        if not input_grad:
+            return None
+        dcols = (g @ w2).reshape(n, out_len, c, k)
         left, right = self._pad_amounts()
-        dxp = np.zeros((n, c, length + left + right))
-        idx = np.arange(self.kernel_size)[None, :] + np.arange(out_len)[:, None]
-        np.add.at(dxp, (slice(None), slice(None), idx), dcols)
-        return dxp[:, :, left : left + length]
+        dxp = np.zeros((n, length + left + right, c))
+        # col2im: tap j of output o lands on padded input o + j.  Adding
+        # the taps from k-1 down to 0 sums each input position in the
+        # same order as np.add.at over the (out_len, k) index grid.
+        for j in range(k - 1, -1, -1):
+            dxp[:, j : j + out_len, :] += dcols[:, :, :, j]
+        return dxp[:, left : left + length, :].transpose(0, 2, 1)
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.b]
@@ -159,30 +185,36 @@ class MaxPool1D(Layer):
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.pool_size = pool_size
-        self._mask: np.ndarray | None = None
+        self._argmax: np.ndarray | None = None
         self._x_shape: tuple | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, length = x.shape
         p = self.pool_size
-        out_len = length // p
-        trimmed = x[:, :, : out_len * p].reshape(n, c, out_len, p)
-        out = trimmed.max(axis=3)
-        self._mask = trimmed == out[..., None]
-        # break ties: keep only the first max per pool
-        cum = np.cumsum(self._mask, axis=3)
-        self._mask &= cum == 1
-        self._x_shape = (n, c, length)
+        end = (x.shape[2] // p) * p
+        # Scan the pool's slots left to right; a later slot wins only if
+        # strictly greater, so ties route to the first maximum.
+        out = x[:, :, 0:end:p]
+        index = np.min_scalar_type(p - 1).type
+        self._argmax = np.zeros_like(out, dtype=index)
+        for j in range(1, p):
+            slot = x[:, :, j:end:p]
+            # j exceeds every earlier slot index, so the max records j
+            # exactly where this slot beats the running maximum.
+            np.maximum(self._argmax, (slot > out) * index(j), out=self._argmax)
+            out = np.maximum(out, slot)
+        self._x_shape = x.shape
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._mask is not None and self._x_shape is not None
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray:
+        assert self._argmax is not None and self._x_shape is not None
         n, c, length = self._x_shape
         p = self.pool_size
-        out_len = grad.shape[2]
-        dx = np.zeros((n, c, length))
-        expanded = self._mask * grad[..., None]
-        dx[:, :, : out_len * p] = expanded.reshape(n, c, out_len * p)
+        end = grad.shape[2] * p
+        # Position-major, like Conv1D's outputs, so the ReLU and Conv1D
+        # backward passes below run on matching memory layouts.
+        dx = np.zeros((n, length, c)).transpose(0, 2, 1)
+        for j in range(p):
+            np.multiply(self._argmax == j, grad, out=dx[:, :, j:end:p])
         return dx
 
 
@@ -191,16 +223,16 @@ class ReLU(Layer):
         self._mask = x > 0
         return x * self._mask
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray:
         return grad * self._mask
 
 
 class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(len(x), -1)
+        return x.reshape(len(x), int(np.prod(x.shape[1:])))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray:
         return grad.reshape(self._shape)
 
 
@@ -222,7 +254,7 @@ class Dropout(Layer):
         self._mask = (self.rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray:
         if self._mask is None:
             return grad
         return grad * self._mask
@@ -273,13 +305,32 @@ class Adam:
         self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        # Scratch for the bias-corrected moments, reused every step.
+        self._m_hat = [np.empty_like(p) for p in params]
+        self._v_hat = [np.empty_like(p) for p in params]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
-        for i, (param, grad) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * grad
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * grad**2
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_scale = 1 - self.beta1**self.t
+        v_scale = 1 - self.beta2**self.t
+        for param, grad, m, v, m_hat, v_hat in zip(
+            self.params, grads, self.m, self.v, self._m_hat, self._v_hat
+        ):
+            # The textbook update, evaluated in place:
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            # param -= lr * (m / m_scale) / (sqrt(v / v_scale) + eps)
+            m *= self.beta1
+            np.multiply(grad, 1 - self.beta1, out=m_hat)
+            m += m_hat
+            v *= self.beta2
+            np.square(grad, out=v_hat)
+            v_hat *= 1 - self.beta2
+            v += v_hat
+            np.divide(m, m_scale, out=m_hat)
+            m_hat *= self.lr
+            np.divide(v, v_scale, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            m_hat /= v_hat
+            param -= m_hat

@@ -2,8 +2,11 @@
 
 The building block of the Random Forest.  Split search is fully
 vectorised: for each candidate feature the labels are ordered by feature
-value and per-class prefix sums give the Gini impurity of every possible
-threshold in O(n) after the sort.
+value, and per-class prefix counts give the Gini impurity of a threshold
+in O(1) after the sort.  Only thresholds between distinct values that
+leave ``min_samples_leaf`` rows on each side are scored.  Packet
+features are heavily tied (ports, protocol, flags, small counts), so
+that is usually a small fraction of the n - 1 positions.
 """
 
 from __future__ import annotations
@@ -32,35 +35,43 @@ class _Node:
 
 
 def _gini_best_split(
-    x: np.ndarray, y_onehot: np.ndarray, min_samples_leaf: int
+    x: np.ndarray, y: np.ndarray, n_classes: int, min_samples_leaf: int
 ) -> tuple[float, float] | None:
     """Best (gain-proxy, threshold) for one feature column, or None.
 
-    Returns the *negative weighted Gini* (higher is better) so callers
-    can compare across features without re-deriving parent impurity.
+    ``y`` holds integer labels in ``[0, n_classes)``.  Returns the
+    *negative weighted Gini* (higher is better) so callers can compare
+    across features without re-deriving parent impurity.  Ties go to the
+    lowest threshold.
     """
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     x_sorted = x[order]
     n = len(x_sorted)
-    cum = np.cumsum(y_onehot[order], axis=0)  # per-class prefix counts
-    total = cum[-1]
-    # Candidate split after position i (left = [0..i]), i in [0, n-2].
-    left_counts = cum[:-1]
-    right_counts = total - left_counts
-    n_left = np.arange(1, n)
+    # A split after sorted position i (left = [0..i]) must leave
+    # min_samples_leaf rows on each side and fall between distinct
+    # values; only those positions are scored.
+    first = min_samples_leaf - 1
+    last = n - min_samples_leaf - 1
+    if first > last:
+        return None
+    split = np.flatnonzero(x_sorted[first + 1 : last + 2] != x_sorted[first : last + 1])
+    if split.size == 0:
+        return None
+    split += first
+    # Per-class prefix counts, one row per class: (n_classes, n).  Within
+    # a run of equal values the row order does not matter, because only
+    # the run ends are read.
+    cum = np.cumsum(y[order] == np.arange(n_classes)[:, None], axis=1)
+    left_counts = cum[:, split]
+    right_counts = cum[:, -1:] - left_counts
+    n_left = split + 1
     n_right = n - n_left
-    valid = (x_sorted[1:] != x_sorted[:-1])
-    valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    if not valid.any():
-        return None
-    gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-    gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+    gini_left = 1.0 - np.sum((left_counts / n_left) ** 2, axis=0)
+    gini_right = 1.0 - np.sum((right_counts / n_right) ** 2, axis=0)
     weighted = (n_left * gini_left + n_right * gini_right) / n
-    weighted[~valid] = np.inf
     best = int(np.argmin(weighted))
-    if not np.isfinite(weighted[best]):
-        return None
-    threshold = 0.5 * (x_sorted[best] + x_sorted[best + 1])
+    i = split[best]
+    threshold = 0.5 * (x_sorted[i] + x_sorted[i + 1])
     return -float(weighted[best]), float(threshold)
 
 
@@ -106,15 +117,13 @@ class DecisionTreeClassifier:
         self.n_features_ = X.shape[1]
         self.node_count_ = 0
         rng = np.random.default_rng(self.random_state)
-        y_onehot = np.zeros((len(y), self.n_classes_))
-        y_onehot[np.arange(len(y)), y] = 1.0
-        self.root_ = self._build(X, y_onehot, depth=0, rng=rng)
+        self.root_ = self._build(X, y, depth=0, rng=rng)
         return self
 
-    def _build(self, X: np.ndarray, y_onehot: np.ndarray, depth: int, rng) -> _Node:
+    def _build(self, X: np.ndarray, y: np.ndarray, depth: int, rng) -> _Node:
         node = _Node()
         self.node_count_ += 1
-        counts = y_onehot.sum(axis=0)
+        counts = np.bincount(y, minlength=self.n_classes_).astype(float)
         node.counts = counts
         node.prediction = int(np.argmax(counts))
         n = len(X)
@@ -132,7 +141,9 @@ class DecisionTreeClassifier:
         best_feature = -1
         best_threshold = 0.0
         for feature in features:
-            result = _gini_best_split(X[:, feature], y_onehot, self.min_samples_leaf)
+            result = _gini_best_split(
+                X[:, feature], y, self.n_classes_, self.min_samples_leaf
+            )
             if result is not None and result[0] > best_score:
                 best_score, best_threshold = result
                 best_feature = int(feature)
@@ -141,8 +152,8 @@ class DecisionTreeClassifier:
         mask = X[:, best_feature] <= best_threshold
         node.feature = best_feature
         node.threshold = best_threshold
-        node.left = self._build(X[mask], y_onehot[mask], depth + 1, rng)
-        node.right = self._build(X[~mask], y_onehot[~mask], depth + 1, rng)
+        node.left = self._build(X[mask], y[mask], depth + 1, rng)
+        node.right = self._build(X[~mask], y[~mask], depth + 1, rng)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:

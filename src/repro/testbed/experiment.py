@@ -146,22 +146,33 @@ def train_models(
     test_fraction: float = 0.3,
     seed: int = 0,
 ) -> list[TrainedModel]:
-    """Extract features, split, fit each model, report §IV-D train metrics."""
+    """Extract features, split, fit each model, report §IV-D train metrics.
+
+    Models that share a feature view (extractor configuration and
+    scaling) share one extraction pass, split and scaler fit; they
+    receive the same read-only arrays.
+    """
     specs = list(specs) if specs is not None else default_model_specs(seed)
+    batch = dataset.to_batch()
+    views: dict[str, tuple] = {}
     trained: list[TrainedModel] = []
     for spec in specs:
         extractor = spec.make_extractor(window_seconds)
-        # One columnar batch per capture, shared by every model's pass.
-        X, y, _ = extractor.transform(dataset.to_batch())
-        if len(np.unique(y)) < 2:
-            raise ValueError("training capture contains only one class")
-        X_train, X_test, y_train, y_test = train_test_split(
-            X, y, test_fraction=test_fraction, seed=seed
-        )
-        scaler = StandardScaler().fit(X_train) if spec.scale else _IdentityScaler()
-        X_train_s = scaler.transform(X_train)
-        X_test_s = scaler.transform(X_test)
-        model = spec.factory(X.shape[1])
+        view = json.dumps([extractor.to_config(), spec.scale], sort_keys=True)
+        if view not in views:
+            X, y, _ = extractor.transform(batch)
+            if len(np.unique(y)) < 2:
+                raise ValueError("training capture contains only one class")
+            X_train, X_test, y_train, y_test = train_test_split(
+                X, y, test_fraction=test_fraction, seed=seed
+            )
+            scaler = StandardScaler().fit(X_train) if spec.scale else _IdentityScaler()
+            arrays = (scaler.transform(X_train), scaler.transform(X_test), y_train, y_test)
+            for array in arrays:
+                array.setflags(write=False)
+            views[view] = (scaler, *arrays)
+        scaler, X_train_s, X_test_s, y_train, y_test = views[view]
+        model = spec.factory(X_train_s.shape[1])
         started = time.perf_counter()
         model.fit(X_train_s, y_train)
         fit_seconds = time.perf_counter() - started

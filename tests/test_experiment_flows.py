@@ -11,7 +11,7 @@ from repro.ids.meter import SustainabilityMetrics
 from repro.ids.report import DetectionReport, WindowResult
 from repro.ml.metrics import ClassificationReport
 from repro.testbed import ExperimentResult, ModelSpec, Scenario, TrainedModel
-from repro.testbed.experiment import _IdentityScaler
+from repro.testbed.experiment import _IdentityScaler, default_model_specs
 
 
 class TestModelSpec:
@@ -32,6 +32,21 @@ class TestModelSpec:
         assert extractor.stat_names == PAPER_STATISTICAL_FEATURE_NAMES
         assert extractor.feature_names[0] == "timestamp"
         assert "is_syn" not in extractor.feature_names
+
+
+class TestZeroRowPredict:
+    @pytest.mark.parametrize("name", [spec.name for spec in default_model_specs()])
+    def test_predict_on_zero_rows(self, name):
+        spec = {s.name: s for s in default_model_specs()}[name]
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(120, 12))
+        y = (X[:, 0] + X[:, 3] > 0).astype(int)
+        model = spec.factory(X.shape[1])
+        model.fit(X, y)
+        empty = np.empty((0, X.shape[1]))
+        assert model.predict(empty).shape == (0,)
+        if hasattr(model, "predict_proba"):
+            assert model.predict_proba(empty).shape == (0, 2)
 
 
 class TestIdentityScaler:

@@ -7,6 +7,8 @@ models, and run real-time detection.
 
 import pytest
 
+from repro.features.pipeline import FeatureExtractor
+from repro.ml import CnnClassifier, KMeansDetector, RandomForestClassifier
 from repro.testbed import (
     AttackPhase,
     Scenario,
@@ -192,6 +194,36 @@ class TestExperimentFlows:
         benign_only = train.filter(lambda r: r.label == 0)
         with pytest.raises(ValueError):
             train_models(benign_only, seed=scenario.seed)
+
+    def test_shared_view_is_extracted_once(self, small_run, monkeypatch):
+        scenario, train, _ = small_run
+        calls = []
+        transform = FeatureExtractor.transform
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.to_config())
+            return transform(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeatureExtractor, "transform", counting)
+        seen = {}
+        for cls, name in (
+            (RandomForestClassifier, "RF"),
+            (KMeansDetector, "K-Means"),
+            (CnnClassifier, "CNN"),
+        ):
+
+            def recording(self, X, y, fit=cls.fit, name=name):
+                seen[name] = (X, y)
+                return fit(self, X, y)
+
+            monkeypatch.setattr(cls, "fit", recording)
+        train_models(train, seed=scenario.seed)
+        # RF has its own view; K-Means and CNN share the normalised one.
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert seen["K-Means"][0] is seen["CNN"][0]
+        assert seen["K-Means"][1] is seen["CNN"][1]
+        assert not seen["CNN"][0].flags.writeable
+        assert seen["RF"][0].shape[1] != seen["CNN"][0].shape[1]
 
     def test_specs_have_distinct_feature_views(self):
         specs = {s.name: s for s in default_model_specs()}
