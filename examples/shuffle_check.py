@@ -14,7 +14,10 @@ This script
    worse than none);
 2. runs one small full experiment under several shuffle seeds and
    asserts the result fingerprint (dataset summaries + every per-model
-   window verdict) is bit-identical throughout.
+   window verdict) is bit-identical throughout;
+3. runs a small ``urban-smoke`` capture (segmented topology, batch
+   flood and benign planes) under the same seeds and asserts the capture
+   summary and the kernel's executed-event count never move.
 
     PYTHONPATH=src python examples/shuffle_check.py [seeds...]
 """
@@ -22,7 +25,12 @@ This script
 import sys
 
 from repro.sim import Simulator
-from repro.testbed import Scenario, run_full_experiment
+from repro.testbed import Scenario, Testbed, run_full_experiment
+from repro.testbed.catalog import get_scenario
+
+#: The batch-plane check: the catalog's urban-smoke recipe, 3 s of its
+#: training schedule.
+URBAN_CAPTURE_S = 3.0
 
 
 def prove_detector_is_armed() -> None:
@@ -44,6 +52,31 @@ def prove_detector_is_armed() -> None:
     )
     print(f"self-test: order-dependent toy diverges under shuffle "
           f"(unshuffled winner={unshuffled}, shuffled={winners})")
+
+
+def urban_capture(shuffle_buckets: int | None) -> tuple[str, int]:
+    """Summary and executed-event count of one urban-smoke capture."""
+    scenario = get_scenario("urban-smoke", seed=7)
+    testbed = Testbed(scenario, shuffle_buckets=shuffle_buckets).build()
+    testbed.infect_all()
+    capture = testbed.capture(
+        URBAN_CAPTURE_S, scenario.training_schedule(URBAN_CAPTURE_S)
+    )
+    return str(capture.summary()), testbed.sim.events_executed
+
+
+def check_urban_smoke(seeds: list[int]) -> None:
+    """The segmented batch plane must commute under every shuffle seed."""
+    summary, events = urban_capture(None)
+    print(f"\nurban-smoke unshuffled: {events} events\n{summary}")
+    for seed in seeds:
+        shuffled = urban_capture(seed)
+        status = "OK" if shuffled == (summary, events) else "DIVERGED"
+        print(f"urban-smoke shuffle seed {seed:>3}: {shuffled[1]} events {status}")
+        assert shuffled == (summary, events), (
+            f"shuffle seed {seed} changed the urban-smoke capture: "
+            f"{shuffled} != {(summary, events)}"
+        )
 
 
 def main() -> None:
@@ -74,8 +107,9 @@ def main() -> None:
             f"{fingerprint} != {reference} — a same-bucket event race "
             "(see ORD002 in `ddoshield check-parity`)"
         )
+    check_urban_smoke(seeds)
     print(f"\nall {len(seeds)} shuffle seeds bit-identical to the "
-          "unshuffled run; same-bucket events commute")
+          "unshuffled runs; same-bucket events commute")
 
 
 if __name__ == "__main__":

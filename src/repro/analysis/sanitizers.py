@@ -179,7 +179,7 @@ class Sanitizer:
             # must equal the number of cancelled events actually sitting in
             # the heap, or COMPACT_FRACTION fires spurious sweeps (drifted
             # high) / never fires (drifted low).
-            actual = sum(1 for ev in sim._heap if ev.cancelled)
+            actual = sum(1 for entry in sim._heap if entry[3].cancelled)
             if actual != sim._cancelled_in_heap:
                 self.violation(
                     "kernel-ledger",

@@ -29,7 +29,7 @@ class SimulationError(RuntimeError):
     """Raised on kernel misuse (negative delays, scheduling in the past)."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Event:
     """A callback scheduled at an absolute virtual time.
 
@@ -41,6 +41,10 @@ class Event:
     order: equal-time events never fall back to comparing callbacks or
     payload (which would either raise or, worse, order by ``id()`` and
     silently differ between runs).
+
+    The simulator's heap holds ``(time, priority, seq, event)`` entries
+    rather than events, so heap sifts compare tuples in C; the unique
+    ``seq`` settles every comparison before it could reach the event.
     """
 
     time: float
@@ -51,30 +55,22 @@ class Event:
     cancelled: bool = False
     _sim: "Simulator | None" = field(default=None, repr=False)
     _in_heap: bool = field(default=False, repr=False)
-    # Cached (time, priority, seq); none of those fields ever mutate
-    # after construction, and the heap compares events O(log n) times
-    # per push/pop — rebuilding the tuple per comparison dominated the
-    # kernel's profile before it was cached here.
-    _key: tuple = field(default=(), repr=False)
-
-    def __post_init__(self) -> None:
-        self._key = (self.time, self.priority, self.seq)
 
     def sort_key(self) -> tuple[float, int, int]:
         """The deterministic total order the event heap uses."""
-        return self._key
+        return (self.time, self.priority, self.seq)
 
     def __lt__(self, other: "Event") -> bool:
-        return self._key < other._key
+        return self.sort_key() < other.sort_key()
 
     def __le__(self, other: "Event") -> bool:
-        return self._key <= other._key
+        return self.sort_key() <= other.sort_key()
 
     def __gt__(self, other: "Event") -> bool:
-        return self._key > other._key
+        return self.sort_key() > other.sort_key()
 
     def __ge__(self, other: "Event") -> bool:
-        return self._key >= other._key
+        return self.sort_key() >= other.sort_key()
 
     def cancel(self) -> None:
         """Prevent the event from running; the owning simulator reclaims
@@ -194,7 +190,8 @@ class Simulator:
             random.Random(shuffle_buckets) if shuffle_buckets is not None else None
         )
         self._now = 0.0
-        self._heap: list[Event] = []
+        # Entries are (time, priority, seq, event): see Event.
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -258,8 +255,8 @@ class Simulator:
         digest = hashlib.sha256()
         digest.update(f"{self._now!r}|{self._events_executed}".encode())
         pending = sorted(
-            (event.time, event.priority)
-            for event in self._heap
+            (when, priority)
+            for when, priority, _, event in self._heap
             if not event.cancelled
         )
         for when, priority in pending:
@@ -279,12 +276,12 @@ class Simulator:
             len(self._heap) >= self.COMPACT_MIN_SIZE
             and self._cancelled_in_heap > len(self._heap) * self.COMPACT_FRACTION
         ):
-            kept: list[Event] = []
-            for ev in self._heap:
-                if ev.cancelled:
-                    ev._in_heap = False
+            kept = []
+            for entry in self._heap:
+                if entry[3].cancelled:
+                    entry[3]._in_heap = False
                 else:
-                    kept.append(ev)
+                    kept.append(entry)
             # In-place so run()'s local heap alias stays valid when a
             # callback's cancellations trigger a sweep mid-drain.
             self._heap[:] = kept
@@ -318,9 +315,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} before current time t={self._now}"
             )
-        event = Event(when, priority, next(self._seq), callback, args, _sim=self)
-        event._in_heap = True
-        heapq.heappush(self._heap, event)
+        seq = next(self._seq)
+        event = Event(when, priority, seq, callback, args, _sim=self, _in_heap=True)
+        heapq.heappush(self._heap, (when, priority, seq, event))
         self._obs_heap_depth.set(len(self._heap))
         return event
 
@@ -380,30 +377,30 @@ class Simulator:
                 f"args_seq has {len(args_seq)} entries for {arr.size} times"
             )
         seq = self._seq
+        times_list = arr.tolist()
         if args_seq is None:
-            events = [
-                Event(float(t), priority, next(seq), callback, (), _sim=self)
-                for t in arr
-            ]
+            args_list: Sequence[tuple] = [()] * len(times_list)
         else:
-            events = [
-                Event(float(t), priority, next(seq), callback, tuple(a), _sim=self)
-                for t, a in zip(arr, args_seq)
-            ]
-        for event in events:
-            event._in_heap = True
+            args_list = [tuple(a) for a in args_seq]
+        entries = []
+        for t, a in zip(times_list, args_list):
+            n = next(seq)
+            entries.append(
+                (t, priority, n, Event(t, priority, n, callback, a, _sim=self, _in_heap=True))
+            )
         heap = self._heap
         if not heap:
             # Stable sort keeps input (= seq) order among equal times, so
             # the sorted array is exactly heap order.
             order = np.argsort(arr, kind="stable")
-            heap.extend(events[i] for i in order)
-        elif len(events) < 8:
-            for event in events:
-                heapq.heappush(heap, event)
+            heap.extend(entries[i] for i in order)
+        elif len(entries) < 8:
+            for entry in entries:
+                heapq.heappush(heap, entry)
         else:
-            heap.extend(events)
+            heap.extend(entries)
             heapq.heapify(heap)
+        events = [entry[3] for entry in entries]
         self._obs_batch_scheduled.inc(len(events))
         self._obs_heap_depth.set(len(heap))
         return events
@@ -439,12 +436,15 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
+        heappop = heapq.heappop
         try:
             while heap and not self._stopped:
-                event = heap[0]
-                if until is not None and event.time > until:
+                entry = heap[0]
+                when = entry[0]
+                if until is not None and when > until:
                     break
-                heapq.heappop(heap)
+                heappop(heap)
+                event = entry[3]
                 event._in_heap = False
                 if event.cancelled:
                     # cancel() increments the ledger for every event that is
@@ -455,21 +455,22 @@ class Simulator:
                     continue
                 if self.sanitizer is not None:
                     self.sanitizer.check_event(event, self._now)
-                self._now = event.time
+                self._now = when
+                priority = entry[1]
                 # Bucket membership is *bit-equal* time by design: only
                 # events whose floats compare equal are coalesced, anything
                 # off by an ulp dispatches separately (never wrongly merged).
                 if not (
                     heap
-                    and heap[0].time == event.time  # repro: lint-ok[FLT001]
-                    and heap[0].priority == event.priority
+                    and heap[0][0] == when  # repro: lint-ok[FLT001]
+                    and heap[0][1] == priority
                 ):
                     # Fast path: no bucket mates (timers, app think time).
                     self._events_executed += 1
                     self._obs_dispatched.inc()
                     self._obs_heap_depth.set(len(heap))
                     if self._flight is not None:
-                        self._flight.note_dispatch(event.time, event.callback)
+                        self._flight.note_dispatch(when, event.callback)
                     if self._profiler is None:
                         event.callback(*event.args)
                     else:
@@ -479,15 +480,15 @@ class Simulator:
                 # Events scheduled *during* the bucket land behind it in seq
                 # order, so they run after the drained ones — exactly as the
                 # scalar loop would order them.
-                bucket = [event]
+                bucket = [entry]
                 while (
                     heap
-                    and heap[0].time == event.time  # repro: lint-ok[FLT001]
-                    and heap[0].priority == event.priority
+                    and heap[0][0] == when  # repro: lint-ok[FLT001]
+                    and heap[0][1] == priority
                 ):
-                    mate = heapq.heappop(heap)
-                    mate._in_heap = False
-                    if mate.cancelled:
+                    mate = heappop(heap)
+                    mate[3]._in_heap = False
+                    if mate[3].cancelled:
                         self._cancelled_in_heap -= 1
                         continue
                     bucket.append(mate)
@@ -506,7 +507,7 @@ class Simulator:
                 n = len(bucket)
                 try:
                     while i < n:
-                        ev = bucket[i]
+                        ev = bucket[i][3]
                         i += 1
                         if ev.cancelled:
                             # Cancelled by an earlier callback in this bucket.
@@ -516,7 +517,7 @@ class Simulator:
                         self._events_executed += 1
                         self._obs_dispatched.inc()
                         if self._flight is not None:
-                            self._flight.note_dispatch(ev.time, ev.callback)
+                            self._flight.note_dispatch(when, ev.callback)
                         if self._profiler is None:
                             ev.callback(*ev.args)
                         else:
@@ -526,10 +527,10 @@ class Simulator:
                 finally:
                     # stop() or an exception mid-bucket: the unexecuted tail
                     # must stay pending, as it would have in the scalar loop.
-                    for ev in bucket[i:]:
-                        if not ev.cancelled:
-                            ev._in_heap = True
-                            heapq.heappush(heap, ev)
+                    for mate in bucket[i:]:
+                        if not mate[3].cancelled:
+                            mate[3]._in_heap = True
+                            heapq.heappush(heap, mate)
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -555,7 +556,7 @@ class Simulator:
 
     def clear(self) -> None:
         """Drop all pending events (used between experiment phases)."""
-        for event in self._heap:
-            event._in_heap = False
+        for entry in self._heap:
+            entry[3]._in_heap = False
         self._heap.clear()
         self._cancelled_in_heap = 0

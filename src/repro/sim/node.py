@@ -319,13 +319,8 @@ class Node:
         if frame.ip.ttl <= 1:
             self.ttl_expired += 1
             return
-        from dataclasses import replace
-
-        decremented = replace(
-            frame, ip=replace(frame.ip, ttl=frame.ip.ttl - 1), eth=None
-        )
         self.packets_forwarded += 1
-        self.send_ipv4(decremented)
+        self.send_ipv4(frame.forwarded())
 
     def _forward_batch(self, batch: PacketBatch) -> None:
         """Route a transit train out the next-hop interface (TTL - 1)."""

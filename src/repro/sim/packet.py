@@ -229,7 +229,26 @@ class Packet:
 
     def with_eth(self, eth: EthernetHeader) -> "Packet":
         """Return a copy with the Ethernet header replaced (L2 framing)."""
-        return replace(self, eth=eth)
+        # Every transmitted frame passes here: the positional constructor
+        # costs a third of ``dataclasses.replace``.
+        return Packet(
+            eth, self.ip, self.tcp, self.udp, self.payload,
+            self.payload_len, self.provenance, self.app_data,
+        )
+
+    def forwarded(self) -> "Packet":
+        """The copy a router sends on: TTL one lower, L2 framing stripped."""
+        ip = self.ip
+        assert ip is not None
+        return Packet(
+            None,
+            Ipv4Header(
+                ip.src, ip.dst, ip.protocol, ip.ttl - 1,
+                ip.identification, ip.total_length,
+            ),
+            self.tcp, self.udp, self.payload,
+            self.payload_len, self.provenance, self.app_data,
+        )
 
     def to_bytes(self) -> bytes:
         """Serialize to real wire format (for pcap export)."""
@@ -272,6 +291,12 @@ UNRESOLVED_MARKER = "__unresolved__"
 
 def _column(value: object, n: int) -> np.ndarray:
     """Coerce a scalar or sequence into an ``int64`` column of length ``n``."""
+    if isinstance(value, int):
+        # Most columns of a train are one shared scalar; empty + fill
+        # is a third of the cost of np.full on 2-3 row trains.
+        column = np.empty(n, dtype=np.int64)
+        column.fill(value)
+        return column
     arr = np.asarray(value, dtype=np.int64)
     if arr.ndim == 0:
         return np.full(n, int(arr), dtype=np.int64)
@@ -406,7 +431,7 @@ class PacketBatch:
     # Shape and sizes
 
     def __len__(self) -> int:
-        return int(self.src_ip.shape[0])
+        return len(self.src_ip)
 
     @property
     def header_size(self) -> int:

@@ -36,7 +36,7 @@ class TestEventMonotonicity:
         # Bypass schedule()'s own validation: push an event dated before
         # current time straight into the heap, as a kernel bug would.
         rogue = Event(1.0, 0, 10_000, lambda: None)
-        heapq.heappush(sim._heap, rogue)
+        heapq.heappush(sim._heap, (rogue.time, rogue.priority, rogue.seq, rogue))
         with pytest.raises(SanitizerError, match="event-monotonicity"):
             sim.run()
 

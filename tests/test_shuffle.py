@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import shuffle_seed_from_env
 from repro.sim import Simulator
-from repro.testbed import Scenario, run_full_experiment
+from repro.testbed import AttackPhase, Scenario, Testbed, run_full_experiment
 
 
 def _bucket_order(shuffle_buckets, tags=16):
@@ -95,6 +95,26 @@ class TestShuffleContract:
         baseline = run(None)
         for seed in (1, 2, 3):
             assert run(seed) == baseline
+
+    def test_phases_starting_together_do_not_race(self):
+        """Two attack phases at one instant: a bot runs the order it
+        receives last, so the schedule order must hold under shuffling."""
+        phases = [
+            AttackPhase(start=0.5, kind="syn", duration=1.0, pps_per_bot=100.0),
+            AttackPhase(start=0.5, kind="ack", duration=1.0, pps_per_bot=100.0),
+        ]
+
+        def run(shuffle_buckets):
+            testbed = Testbed(
+                Scenario(n_devices=2, seed=11), shuffle_buckets=shuffle_buckets
+            ).build()
+            testbed.infect_all()
+            return testbed.capture(2.0, phases).summary().by_attack
+
+        baseline = run(None)
+        assert baseline.get("ack_flood", 0) > baseline.get("syn_flood", 0)
+        for seed in (1, 2, 3, 4, 5):
+            assert run(seed) == baseline, seed
 
     def test_full_experiment_bit_identical_across_shuffle_seeds(self, monkeypatch):
         """Acceptance: one small full experiment, >= 3 shuffle seeds,

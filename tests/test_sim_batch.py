@@ -157,6 +157,175 @@ def test_cancel_compaction_keeps_order_and_count():
 
 
 # ----------------------------------------------------------------------
+# Heap entries: (time, priority, seq, event) tuples
+
+_ACTIONS = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("cancel"), st.integers(0, 120)),
+    st.tuples(st.just("spawn"), st.sampled_from([0.0, 0.5]), st.sampled_from([0, 1])),
+    st.just(("stop",)),
+    st.just(("cancel_fill",)),
+)
+
+
+@st.composite
+def _kernel_scripts(draw):
+    """Filler events far in the future, then jobs on a coarse time grid
+    whose callbacks cancel, spawn, stop the run or cancel every filler."""
+    n_fill = draw(st.sampled_from([0, 10, 80]))
+    jobs = draw(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0, 1]), _ACTIONS),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return n_fill, jobs, draw(st.booleans())
+
+
+def _spawn_priority(dt, prio, running_prio):
+    # A same-instant spawn below the running bucket's priority would run
+    # after the bucket rather than first; the (time, priority, seq)
+    # order holds for everything else.
+    return max(prio, running_prio) if dt == 0.0 else prio
+
+
+def _kernel_order(n_fill, jobs, use_batch):
+    sim = Simulator(sanitize=True)
+    events, meta, order = [], [], []
+    fill = []
+
+    def fire(i, action):
+        order.append(i)
+        kind = action[0]
+        if kind == "cancel" and action[1] < len(events):
+            events[action[1]].cancel()
+        elif kind == "spawn":
+            _, dt, prio = action
+            add(sim.schedule(dt, fire, len(events), ("none",),
+                             priority=_spawn_priority(dt, prio, meta[i][1])))
+        elif kind == "stop":
+            sim.stop()
+        elif kind == "cancel_fill":
+            for event in fill:
+                event.cancel()
+
+    def add(event):
+        assert event.seq == len(events)
+        events.append(event)
+        meta.append((event.time, event.priority))
+
+    for k in range(n_fill):
+        add(sim.schedule(100.0 + k, fire, len(events), ("none",)))
+    fill.extend(events)
+    if use_batch:
+        start = 0
+        while start < len(jobs):
+            stop = start
+            while stop < len(jobs) and jobs[stop][1] == jobs[start][1]:
+                stop += 1
+            run = jobs[start:stop]
+            base = len(events)
+            for event in sim.schedule_batch_abs(
+                [t for t, _, _ in run], fire,
+                [(base + k, a) for k, (_, _, a) in enumerate(run)],
+                priority=jobs[start][1],
+            ):
+                add(event)
+            start = stop
+    else:
+        for t, prio, action in jobs:
+            add(sim.schedule_abs(t, fire, len(events), action, priority=prio))
+    for entry in sim._heap:
+        assert entry[:3] == entry[3].sort_key() and entry[3]._in_heap
+    runs = 0
+    while sim._heap:
+        sim.run()
+        runs += 1
+    assert sim._cancelled_in_heap == 0 and not sim._heap
+    return order, runs, sim.heap_compactions
+
+
+def _model_order(n_fill, jobs):
+    """Reference: always run the pending event with the least key."""
+    pending = {}
+
+    def add(when, prio, action):
+        pending[len(meta)] = (when, prio, action)
+        meta.append(prio)
+
+    meta = []
+    for k in range(n_fill):
+        add(100.0 + k, 0, ("none",))
+    for t, prio, action in jobs:
+        add(t, prio, action)
+    order = []
+    while pending:
+        i = min(pending, key=lambda k: (pending[k][0], pending[k][1], k))
+        when, prio, action = pending.pop(i)
+        order.append(i)
+        kind = action[0]
+        if kind == "cancel":
+            pending.pop(action[1], None)
+        elif kind == "spawn":
+            _, dt, new_prio = action
+            add(when + dt, _spawn_priority(dt, new_prio, prio), ("none",))
+        elif kind == "cancel_fill":
+            for k in range(n_fill):
+                pending.pop(k, None)
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=_kernel_scripts())
+def test_property_pop_order_is_sorted_time_priority_seq(script):
+    """Bucket drains, in-bucket cancels, compaction sweeps triggered from
+    a callback and mid-bucket ``stop()`` re-pushes all leave the dispatch
+    order equal to repeatedly taking the least ``(time, priority, seq)``."""
+    n_fill, jobs, use_batch = script
+    order, _, _ = _kernel_order(n_fill, jobs, use_batch)
+    assert order == _model_order(n_fill, jobs)
+
+
+def test_compaction_mid_drain_keeps_the_bucket_in_order():
+    # The first job of the t=1 bucket cancels 80 fillers, so the sweep
+    # runs while the rest of the bucket waits outside the heap.
+    jobs = [(1.0, 0, ("cancel_fill",))] + [(1.0, 0, ("none",))] * 5
+    jobs += [(0.5, 1, ("spawn", 0.5, 0))]
+    order, runs, compactions = _kernel_order(80, jobs, use_batch=True)
+    assert compactions == 1
+    assert order == _model_order(80, jobs) == [86, 80, 81, 82, 83, 84, 85, 87]
+
+
+def test_stop_mid_bucket_re_pushes_the_tail_as_entries():
+    sim = Simulator()
+    order = []
+    for tag in range(5):
+        sim.schedule(1.0, order.append, tag)
+    sim.schedule(1.0, sim.stop)
+    sim.schedule(1.0, order.append, 5)
+    sim.schedule(2.0, order.append, 6)
+    sim.run()
+    assert order == [0, 1, 2, 3, 4] and sim.now == 1.0
+    assert sorted(entry[:3] for entry in sim._heap) == [(1.0, 0, 6), (2.0, 0, 7)]
+    assert all(entry[3]._in_heap for entry in sim._heap)
+    sim.run()
+    assert order == [0, 1, 2, 3, 4, 5, 6]
+
+
+def test_state_hash_ignores_seq_and_cancelled_entries():
+    a, b = Simulator(), Simulator()
+    a.schedule(1.0, print)
+    a.schedule(2.0, print, priority=1)
+    b.schedule(0.5, print).cancel()
+    b.schedule(2.0, print, priority=1)
+    b.schedule(1.0, print)
+    assert a.state_hash() == b.state_hash()
+    b.clear()
+    assert b.pending_events == 0 and b.state_hash() == Simulator().state_hash()
+
+
+# ----------------------------------------------------------------------
 # Queue and rate-limiter batch semantics
 
 

@@ -350,6 +350,19 @@ class TestSynFlood:
         sim.run(until=1.0)
         assert victim.tcp.rst_sent == 50
 
+    def test_closed_listener_holds_no_handshake_state(self, net):
+        sim, lan = net
+        victim, attacker = lan.add_host("v"), lan.add_host("a")
+        listener = victim.tcp.listen(80, lambda s: None, backlog=8)
+        self.flood(sim, attacker, victim, 20)
+        sim.run(until=1.0)
+        assert len(listener.half_open) == 8 and len(listener._isns) == 8
+        listener.close()
+        assert not listener.half_open
+        assert not listener._isns
+        assert 80 not in victim.tcp.listeners
+        assert sim.pending_events == 0
+
     def test_duplicate_port_listen_rejected(self, net):
         sim, lan = net
         victim = lan.add_host("v")
