@@ -81,8 +81,12 @@ class AttackModule:
         self._end_time = t0 + self.duration
         self._tick()  # tick 0 fires immediately at t0
         if self.active:
-            # Ticks k >= 1 land on exact multiples of TICK past t0.
-            self._ticker = self.sim.schedule_periodic(TICK, self._tick, t0=t0)
+            # Ticks k >= 1 land on exact multiples of TICK past t0, ahead
+            # of same-instant deliveries (a new order arriving at a tick's
+            # instant stops this flood after the tick, never before it).
+            self._ticker = self.sim.schedule_periodic(
+                TICK, self._tick, t0=t0, priority=self.sim.PRIORITY_SOURCE
+            )
 
     def stop(self) -> None:
         self.active = False

@@ -19,19 +19,10 @@ from typing import Iterable, Iterator, Sequence
 from repro.features.columnar import RecordBatch
 from repro.sim.tracing import PacketRecord
 
-_CSV_FIELDS = [
-    "timestamp",
-    "src_ip",
-    "dst_ip",
-    "protocol",
-    "src_port",
-    "dst_port",
-    "size",
-    "tcp_flags",
-    "seq",
-    "label",
-    "attack",
-]
+#: CSV columns: exactly the :class:`PacketRecord` fields, in order, so a
+#: record is written as it stands (``csv`` writes floats by ``repr`` and
+#: ``None`` as an empty field).
+_CSV_FIELDS = PacketRecord._fields
 
 
 @dataclass(frozen=True)
@@ -153,24 +144,9 @@ class TrafficDataset:
     def to_csv(self, path: str | Path) -> None:
         """Write the capture as CSV (one row per packet)."""
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
-            writer.writeheader()
-            for r in self.records:
-                writer.writerow(
-                    {
-                        "timestamp": repr(r.timestamp),
-                        "src_ip": r.src_ip,
-                        "dst_ip": r.dst_ip,
-                        "protocol": r.protocol,
-                        "src_port": r.src_port,
-                        "dst_port": r.dst_port,
-                        "size": r.size,
-                        "tcp_flags": r.tcp_flags,
-                        "seq": r.seq,
-                        "label": r.label,
-                        "attack": r.attack or "",
-                    }
-                )
+            writer = csv.writer(fh)
+            writer.writerow(_CSV_FIELDS)
+            writer.writerows(self.records)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TrafficDataset":

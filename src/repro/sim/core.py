@@ -154,6 +154,10 @@ class Simulator:
         sim.run(until=10.0)
     """
 
+    #: Traffic-source ticks (attack floods) fire before normal events at
+    #: the same instant: an order that stops a flood at one of its tick
+    #: instants takes effect after that tick, whatever the bucket order.
+    PRIORITY_SOURCE = -1
     #: Default event priority; transmissions and app logic use this.
     PRIORITY_NORMAL = 0
     #: Timers fire after normal events at the same instant.

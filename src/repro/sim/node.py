@@ -25,6 +25,7 @@ from repro.sim.packet import (
     UNRESOLVED_MARKER,
     Packet,
     PacketBatch,
+    shared_value,
 )
 
 
@@ -223,8 +224,8 @@ class Node:
         flood targets, not flood sources).
         """
         dst = batch.dst_ip
-        first = int(dst[0])
-        if bool((dst == first).all()):
+        first = shared_value(dst)
+        if first is not None:
             try:
                 iface, next_hop = self.route_for(Ipv4Address(first))
             except NetworkError:
@@ -285,8 +286,8 @@ class Node:
         local_values = [iface.address.value for iface in self.interfaces]
         bcast_values = [iface.network.broadcast.value for iface in self.interfaces]
         bcast_values.append(ANY_ADDRESS.value)
-        dst0 = int(dst[0])
-        if int(dst[-1]) == dst0 and bool((dst == dst0).all()):
+        dst0 = shared_value(dst)
+        if dst0 is not None:
             # Uniform destination — the shape of every socket-to-socket
             # train — needs two list membership tests, not np.isin.
             if dst0 in local_values or dst0 in bcast_values:

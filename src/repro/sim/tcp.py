@@ -23,7 +23,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from repro.sim.packet import (
     Provenance,
     TcpFlags,
     TcpHeader,
+    shared_value,
 )
 
 if TYPE_CHECKING:
@@ -51,6 +52,10 @@ RTO_MAX = 8.0
 MAX_RETRIES = 5
 SEND_WINDOW_BYTES = 65535
 EPHEMERAL_BASE = 32768  # Linux ip_local_port_range lower bound
+#: Flag bits as plain ints for per-train tests (IntFlag operators are
+#: Python-level calls).
+_SYN, _ACK, _RST = int(TcpFlags.SYN), int(TcpFlags.ACK), int(TcpFlags.RST)
+_RST_ACK = TcpFlags.RST | TcpFlags.ACK
 
 
 class TcpState(enum.Enum):
@@ -278,7 +283,7 @@ class TcpListener:
                 )
             )
 
-    def claim_ack_rows(self, batch: PacketBatch, rows: np.ndarray) -> list[int]:
+    def claim_ack_rows(self, batch: PacketBatch, rows: Iterable[int]) -> list[int]:
         """Run :meth:`handle_ack` over ACK-train ``rows`` in order; return
         the rows it leaves unclaimed (the RST candidates).
 
@@ -294,11 +299,13 @@ class TcpListener:
         half_open = self.half_open
         sockets = self.stack.sockets
         local = int(batch.dst_ip[0])  # the train's one destination
-        src_ips = batch.src_ip[rows].tolist()
-        src_ports = batch.src_port[rows].tolist()
-        acks = [0] * len(src_ips) if batch.ack is None else batch.ack[rows].tolist()
+        src_ips = batch.src_ip.tolist()
+        src_ports = batch.src_port.tolist()
+        acks = None if batch.ack is None else batch.ack.tolist()
         unclaimed: list[int] = []
-        for i, src, sport, ack in zip(rows.tolist(), src_ips, src_ports, acks):
+        for i in rows:
+            src = src_ips[i]
+            sport = src_ports[i]
             if (local, self.port, src, sport) in sockets:
                 self.stack.receive(batch.packet(i))
                 continue
@@ -306,6 +313,7 @@ class TcpListener:
                 if not self.syn_cookies_enabled:
                     unclaimed.append(i)
                     continue
+                ack = 0 if acks is None else acks[i]
                 if (ack - 1) & 0xFFFFFFFF != self._cookie_isn(src, sport):
                     self.syn_cookies_rejected += 1
                     unclaimed.append(i)
@@ -1019,20 +1027,16 @@ class TcpStack:
         n = len(batch)
         if n == 0:
             return
-        dst0 = int(batch.dst_ip[0])
-        port0 = int(batch.dst_port[0])
-        flags = batch.flags
-        if not (
-            bool((batch.dst_ip == dst0).all())
-            and bool((batch.dst_port == port0).all())
-        ):
+        dst0 = shared_value(batch.dst_ip)
+        port0 = shared_value(batch.dst_port)
+        if dst0 is None or port0 is None:
             # Several local endpoints: per-packet receive().  The RST
             # replies to an ACK flood come back in this shape, one random
             # port per row; receive() drops a RST that matches no
             # connection and no listener without effect, so those rows
             # are skipped unmaterialised (tested per row against the live
             # tables, as an earlier row may tear a connection down).
-            rst = bool(flags & TcpFlags.RST)
+            rst = bool(int(batch.flags) & _RST)
             sockets = self.sockets
             listeners = self.listeners
             keys = zip(
@@ -1047,16 +1051,11 @@ class TcpStack:
                 packet = batch.packet(i)
                 self.receive(packet)
             return
-        unhandled = np.ones(n, dtype=bool)
+        rows: list[int] | None = None  # rows left to handle; None: all
         if self.sockets:
-            src0 = int(batch.src_ip[0])
-            sport0 = int(batch.src_port[0])
-            if (
-                int(batch.src_ip[-1]) == src0
-                and int(batch.src_port[-1]) == sport0
-                and bool((batch.src_ip == src0).all())
-                and bool((batch.src_port == sport0).all())
-            ):
+            src0 = shared_value(batch.src_ip)
+            sport0 = None if src0 is None else shared_value(batch.src_port)
+            if sport0 is not None:
                 # Uniform remote endpoint — every benign bulk-transfer
                 # train — resolves with one dict probe instead of an
                 # np.isin sweep over the connection table.
@@ -1081,40 +1080,44 @@ class TcpStack:
                 if hit_rows:
                     hit_idx = np.asarray(hit_rows, dtype=np.int64)
                     self._dispatch_socket_runs(batch, hit_idx, dst0, port0)
-                    unhandled[hit_idx] = False
-        if not unhandled.any():
-            return
+                    if len(hit_rows) == n:
+                        return
+                    hit = set(hit_rows)
+                    rows = [i for i in range(n) if i not in hit]
         listener = self.listeners.get(port0)
-        is_syn = bool(flags & TcpFlags.SYN) and not flags & TcpFlags.ACK
-        is_ack = bool(flags & TcpFlags.ACK) and not flags & TcpFlags.SYN
-        idx = np.flatnonzero(unhandled)
+        bits = int(batch.flags)
+        is_syn = (bits & (_SYN | _ACK)) == _SYN
+        is_ack = (bits & (_SYN | _ACK)) == _ACK
         if listener is not None:
             if is_syn:
-                listener.handle_syn_batch(
-                    batch.src_ip[idx], batch.src_port[idx], batch.seq[idx]
-                )
+                sub = batch if rows is None else batch.take(np.asarray(rows, dtype=np.int64))
+                listener.handle_syn_batch(sub.src_ip, sub.src_port, sub.seq)
                 return
             if is_ack and (listener.half_open or listener.syn_cookies_enabled):
-                idx = np.asarray(listener.claim_ack_rows(batch, idx), dtype=np.int64)
-        if flags & TcpFlags.RST or len(idx) == 0:
+                rows = listener.claim_ack_rows(batch, range(n) if rows is None else rows)
+                if len(rows) == n:
+                    rows = None
+        if bits & _RST or (rows is not None and not rows):
             return  # never answer a RST with a RST
         # Unknown 4-tuples: answer with one RST train, as a real host
         # would packet by packet — what makes ACK floods draw a storm.
-        self.rst_sent += len(idx)
+        # With every row unknown (the flood case) the columns are shared.
+        sub = batch if rows is None else batch.take(np.asarray(rows, dtype=np.int64))
+        self.rst_sent += len(sub)
         self.send_segment_batch(
             PacketBatch.tcp_batch(
-                len(idx),
+                len(sub),
                 src_ip=self.node.address.value,
-                dst_ip=batch.src_ip[idx],
+                dst_ip=sub.src_ip,
                 src_port=port0,
-                dst_port=batch.src_port[idx],
-                seq=batch.ack[idx] if batch.ack is not None else 0,
+                dst_port=sub.src_port,
+                seq=sub.ack if sub.ack is not None else 0,
                 ack=(
-                    (batch.seq[idx] + batch.payload_len[idx]) & np.int64(0xFFFFFFFF)
-                    if batch.seq is not None
-                    else batch.payload_len[idx] & np.int64(0xFFFFFFFF)
+                    (sub.seq + sub.payload_len) & np.int64(0xFFFFFFFF)
+                    if sub.seq is not None
+                    else sub.payload_len & np.int64(0xFFFFFFFF)
                 ),
-                flags=TcpFlags.RST | TcpFlags.ACK,
+                flags=_RST_ACK,
                 provenance=self.default_provenance or Provenance(),
             )
         )

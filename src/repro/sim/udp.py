@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.sim.address import Ipv4Address
-from repro.sim.packet import PROTO_UDP, Ipv4Header, Packet, PacketBatch, Provenance, UdpHeader
+from repro.sim.packet import (
+    PROTO_UDP,
+    Ipv4Header,
+    Packet,
+    PacketBatch,
+    Provenance,
+    UdpHeader,
+    shared_value,
+)
 
 if TYPE_CHECKING:
     from repro.sim.node import Node
@@ -62,7 +71,8 @@ class UdpSocket:
             return 0
         self.datagrams_sent += n
         if self.provenance is not None and batch.provenance is not self.provenance:
-            batch = batch._replace_columns(provenance=self.provenance)
+            batch = batch._copy()
+            batch.provenance = self.provenance
         return self.stack.send_datagram_batch(batch)
 
     def handle(self, packet: Packet) -> None:
@@ -146,9 +156,8 @@ class UdpStack:
         if not self.sockets:
             self.unreachable += n
             return
-        dports = batch.dst_port
-        p0 = int(dports[0])
-        if int(dports[-1]) == p0 and bool((dports == p0).all()):
+        p0 = shared_value(batch.dst_port)
+        if p0 is not None:
             # Uniform destination port — one dict probe, no isin/regroup.
             sock = self.sockets.get(p0)
             if sock is None:
@@ -156,21 +165,20 @@ class UdpStack:
                 return
             sock.handle_batch(batch)
             return
-        bound = np.asarray(sorted(self.sockets), dtype=np.int64)
-        hits = np.isin(batch.dst_port, bound)
-        self.unreachable += int((~hits).sum())
-        if not hits.any():
-            return
-        hit_idx = np.flatnonzero(hits)
-        ports = batch.dst_port[hit_idx]
-        starts = [0] + (np.flatnonzero(ports[1:] != ports[:-1]) + 1).tolist()
-        starts.append(int(ports.shape[0]))
-        for a, b in zip(starts[:-1], starts[1:]):
-            sock = self.sockets.get(int(ports[a]))
+        # Mixed ports (a UDP flood's random ports, 2-3 rows a train): one
+        # socket-table probe per row, all taken before any run is
+        # dispatched, as the array membership test did.
+        sockets = self.sockets
+        ports = batch.dst_port.tolist()
+        hits = [i for i, port in enumerate(ports) if port in sockets]
+        self.unreachable += n - len(hits)
+        for port, run in groupby(hits, ports.__getitem__):
+            rows = list(run)
+            sock = sockets.get(port)
             if sock is None:
-                self.unreachable += b - a  # closed by an earlier run
+                self.unreachable += len(rows)  # closed by an earlier run
                 continue
-            sock.handle_batch(batch.take(hit_idx[a:b]))
+            sock.handle_batch(batch.take(np.asarray(rows, dtype=np.int64)))
 
     def send_datagram_batch(self, batch: PacketBatch) -> int:
         """Route a pre-built UDP train; returns frames accepted."""

@@ -4,7 +4,9 @@ A small ``urban-smoke`` capture (8 devices on segments of 4, 2 s of the
 training schedule) exercises the segmented topology, the benign batch
 plane and the SYN/ACK flood trains end to end.  Its CSV export is pinned
 byte for byte per seed, so any speed-up of the packet plane, the TCP
-demultiplexer or the event kernel must reproduce every record exactly.
+demultiplexer, the event kernel, the probe or the CSV writer must
+reproduce every record exactly.  One seed is also pinned at the shape
+the benchmark's ``urban-dataset`` workload captures: 16 devices, 5 s.
 """
 
 import hashlib
@@ -23,16 +25,30 @@ CSV_DIGESTS = {
     1007: "9820c45d4cdb455d121708dee30a61f3ecc627a8b28ab1767d60f0190747d780",
 }
 
+#: The same digest for 16 devices and 5 s, the benchmark's capture shape.
+BENCH_SHAPE_DIGESTS = {
+    7: "92da4a7a3e0e0d05870d087f35bfb6b89adafed738e3be932aeab396277bb426",
+}
 
-@pytest.mark.parametrize("seed", sorted(CSV_DIGESTS))
-def test_urban_smoke_csv_is_pinned(seed, tmp_path):
-    scenario = get_scenario("urban-smoke", n_devices=8, seed=seed)
+
+def capture_digest(devices: int, capture_s: float, seed: int, tmp_path) -> str:
+    scenario = get_scenario("urban-smoke", n_devices=devices, seed=seed)
     testbed = Testbed(scenario).build()
     testbed.infect_all()
-    capture = testbed.capture(CAPTURE_S, scenario.training_schedule(CAPTURE_S))
+    capture = testbed.capture(capture_s, scenario.training_schedule(capture_s))
     path = tmp_path / "capture.csv"
     capture.to_csv(path)
     summary = capture.summary()
     assert summary.by_attack.get("syn_flood", 0) > 0
     assert summary.by_attack.get("ack_flood", 0) > 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_DIGESTS[seed]
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(CSV_DIGESTS))
+def test_urban_smoke_csv_is_pinned(seed, tmp_path):
+    assert capture_digest(8, CAPTURE_S, seed, tmp_path) == CSV_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_SHAPE_DIGESTS))
+def test_benchmark_shape_csv_is_pinned(seed, tmp_path):
+    assert capture_digest(16, 5.0, seed, tmp_path) == BENCH_SHAPE_DIGESTS[seed]

@@ -116,6 +116,32 @@ class TestShuffleContract:
         for seed in (1, 2, 3, 4, 5):
             assert run(seed) == baseline, seed
 
+    def test_order_at_a_flood_tick_instant_stops_it_after_the_tick(self):
+        """An order arriving exactly at a running flood's tick instant
+        (the 3 s training schedule's ACK order reaches each bot one
+        second of ticks after its SYN order) must not race the tick."""
+        from repro.botnet.attacks import TICK, make_attack
+        from repro.sim import CsmaLan
+
+        def run(shuffle_buckets):
+            sim = Simulator(shuffle_buckets=shuffle_buckets)
+            lan = CsmaLan(sim)
+            bot = lan.add_host("bot")
+            victim = lan.add_host("victim")
+            attack = make_attack(
+                "syn", bot, sim,
+                victim.address, 80, pps=200.0, duration=5.0, batch=True,
+            )
+            sim.schedule_abs(0.5, attack.start)
+            # Scheduled first, so unshuffled it would win a shared bucket.
+            sim.schedule_abs(0.5 + 10 * TICK, attack.stop)
+            sim.run(until=1.0)
+            return attack.packets_sent
+
+        assert run(None) == 11 * 2  # ticks 0..10 at 2 packets each
+        for seed in (1, 2, 3, 4, 5):
+            assert run(seed) == run(None), seed
+
     def test_full_experiment_bit_identical_across_shuffle_seeds(self, monkeypatch):
         """Acceptance: one small full experiment, >= 3 shuffle seeds,
         bit-identical window verdicts and result fingerprint."""

@@ -1,5 +1,9 @@
 """Tests for packet and header wire-format serialization."""
 
+from dataclasses import fields
+
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.address import Ipv4Address, MacAddress
@@ -13,6 +17,7 @@ from repro.sim.packet import (
     EthernetHeader,
     Ipv4Header,
     Packet,
+    PacketBatch,
     Provenance,
     TcpFlags,
     TcpHeader,
@@ -148,3 +153,75 @@ class TestProvenance:
         )
         framed = tainted.with_eth(EthernetHeader(src=MAC_A, dst=MAC_B))
         assert framed.provenance.attack == "udp"
+
+
+#: Fields ``slice``/``compress``/``take`` select rows from.
+ROW_FIELDS = (
+    "src_ip", "dst_ip", "src_port", "dst_port", "payload_len",
+    "seq", "ack", "payloads", "app_data",
+)
+
+
+def batch_with_marked_fields() -> PacketBatch:
+    """A 3-row batch whose every non-row field holds an object of its own.
+
+    Iterating ``fields(PacketBatch)`` covers fields added later too: a
+    copy that forgets one fails the identity checks below.
+    """
+    batch = PacketBatch.tcp_batch(
+        3,
+        src_ip=[1, 2, 3], dst_ip=[4, 5, 6], src_port=[7, 8, 9],
+        dst_port=[10, 11, 12], seq=[13, 14, 15], ack=[16, 17, 18],
+        payload_len=[1, 2, 3], payloads=(b"a", b"bb", b"ccc"),
+        app_data=("x", "y", "z"),
+    )
+    for f in fields(PacketBatch):
+        if f.name not in ROW_FIELDS:
+            setattr(batch, f.name, object())
+    return batch
+
+
+def assert_carried(copy: PacketBatch, batch: PacketBatch, skip) -> None:
+    for f in fields(PacketBatch):
+        if f.name not in skip:
+            assert getattr(copy, f.name) is getattr(batch, f.name), f.name
+
+
+class TestBatchCopies:
+    def test_with_macs_carries_every_other_field(self):
+        batch = batch_with_marked_fields()
+        framed = batch.with_macs(MAC_A, MAC_B, unresolved=True)
+        assert (framed.src_mac, framed.dst_mac, framed.unresolved) == (MAC_A, MAC_B, True)
+        assert_carried(framed, batch, {"src_mac", "dst_mac", "unresolved"})
+
+    def test_with_ttl_carries_every_other_field(self):
+        batch = batch_with_marked_fields()
+        hop = batch.with_ttl(9)
+        assert (hop.ttl, hop.src_mac, hop.dst_mac) == (9, None, None)
+        assert_carried(hop, batch, {"ttl", "src_mac", "dst_mac"})
+
+    @pytest.mark.parametrize(
+        "select, rows",
+        [
+            (lambda b: b.slice(1, 3), [1, 2]),
+            (lambda b: b.slice(2), [2]),
+            (lambda b: b.compress(np.array([True, False, True])), [0, 2]),
+            (lambda b: b.take(np.array([2, 0])), [2, 0]),
+        ],
+        ids=["slice", "slice-tail", "compress", "take"],
+    )
+    def test_row_selection_carries_every_other_field(self, select, rows):
+        batch = batch_with_marked_fields()
+        sub = select(batch)
+        assert_carried(sub, batch, ROW_FIELDS)
+        for name in ROW_FIELDS:
+            column = getattr(batch, name)
+            assert list(getattr(sub, name)) == [column[i] for i in rows], name
+
+    def test_copies_leave_the_source_untouched(self):
+        batch = PacketBatch.udp_batch(2, src_ip=1, dst_ip=2, src_port=3, dst_port=4)
+        batch.with_macs(MAC_A, MAC_B, unresolved=True)
+        batch.with_ttl(3)
+        assert (batch.src_mac, batch.dst_mac, batch.unresolved, batch.ttl) == (
+            None, None, False, 64,
+        )
